@@ -41,33 +41,9 @@ pub const VARIANTS: u64 = 8;
 /// The pinned digests, `variant \t family \t pair id \t digest`.
 const PINS: &str = include_str!("../pins/grid.tsv");
 
-/// How much of the grid one run executes. The schema and instance
-/// families always run on the whole corpus; they are cheap.
-#[derive(Debug, Clone, Copy)]
-pub struct GridPlan {
-    /// Run the hybrid family on every pair (otherwise on [`COMPANION`]).
-    pub hybrid_all: bool,
-    /// Passes of each family; the reported wall is their median.
-    pub passes: [usize; 3],
-}
-
-impl GridPlan {
-    /// The pairs family `f` runs on.
-    pub fn pairs(&self, f: usize, all: &[DatasetPair]) -> Vec<DatasetPair> {
-        if f < 2 || self.hybrid_all {
-            return all.to_vec();
-        }
-        all.iter()
-            .filter(|p| COMPANION.iter().any(|prefix| p.id.starts_with(prefix)))
-            .cloned()
-            .collect()
-    }
-}
-
-/// The companion subset: the curated pairs of fixed shape (the seven
-/// Magellan pairs and the WikiData unionable pair), so the seed changes
-/// their values but not how much work they are.
-const COMPANION: [&str; 2] = ["magellan/", "wikidata/unionable"];
+/// Passes of each family per run; the reported wall is their median. The
+/// schema family takes tens of milliseconds a pass, so it repeats most.
+const PASSES: [usize; 3] = [15, 4, 1];
 
 /// The corpus of a seed: the tiny paper corpus of its variant.
 pub fn corpus(seed: u64) -> Corpus {
@@ -168,24 +144,24 @@ pub fn run_family(pairs: &[DatasetPair], methods: &[MatcherKind]) -> (f64, Runne
     (start.elapsed().as_secs_f64(), runner)
 }
 
-/// Runs the plan, checks the records of each family's last pass, and
-/// reports `grid.*`. Returns the summed wall of those last passes.
-pub fn run(seed: u64, pairs: &[DatasetPair], plan: &GridPlan, report: &mut Report) -> f64 {
+/// Runs every family over every pair, checks the records of each family's
+/// last pass, and reports `grid.*`. Returns the summed wall of those last
+/// passes.
+pub fn run(seed: u64, pairs: &[DatasetPair], report: &mut Report) -> f64 {
     let mut last = Vec::new();
     let mut wall = 0.0;
     let mut expected = 0;
     for (f, (family, methods)) in FAMILIES.iter().enumerate() {
-        let pairs = plan.pairs(f, pairs);
         expected += pairs.len()
             * methods
                 .iter()
                 .map(|&m| valentine_core::grids::method_grid(m, GridScale::Small).len())
                 .sum::<usize>();
         let mut walls = Vec::new();
-        for pass in 0..plan.passes[f] {
-            let (secs, runner) = run_family(&pairs, methods);
+        for pass in 0..PASSES[f] {
+            let (secs, runner) = run_family(pairs, methods);
             walls.push(secs);
-            if pass + 1 == plan.passes[f] {
+            if pass + 1 == PASSES[f] {
                 wall += secs;
                 last.extend(runner.records().iter().cloned());
             }
@@ -217,12 +193,10 @@ pub fn run(seed: u64, pairs: &[DatasetPair], plan: &GridPlan, report: &mut Repor
             &format!("{key}: recall digest {digest:016x} differs from the pinned one"),
         );
     }
-    if plan.hybrid_all {
-        report.check(
-            ran.len() == pins.len(),
-            "the grid ran fewer cells than are pinned",
-        );
-    }
+    report.check(
+        ran.len() == pins.len(),
+        "the grid ran fewer cells than are pinned",
+    );
     let recall = last.iter().map(|r| r.recall).sum::<f64>() / last.len().max(1) as f64;
     report.put("grid.recall_at_gt", recall, "ratio");
     wall

@@ -475,10 +475,38 @@ struct Reopen {
     latencies_ms: Vec<f64>,
 }
 
-fn reopen(seed: u64, workload: &str, dir: &Path) -> Result<Reopen, String> {
+/// Drops the page cache of every file in `dir` (`posix_fadvise` with
+/// `POSIX_FADV_DONTNEED` after an `fsync`, so no page is dirty), so that a
+/// reopen reads the index from the device as it would after a restart,
+/// instead of from pages the build just wrote.
+fn evict(dir: &Path) -> std::io::Result<()> {
+    use std::os::fd::AsRawFd;
+    extern "C" {
+        fn posix_fadvise(fd: i32, offset: i64, len: i64, advice: i32) -> i32;
+    }
+    const POSIX_FADV_DONTNEED: i32 = 4;
+    for entry in std::fs::read_dir(dir)? {
+        let path = entry?.path();
+        if !path.is_file() {
+            continue;
+        }
+        let file = std::fs::File::open(&path)?;
+        file.sync_all()?;
+        // SAFETY: `file` is open for the duration of the call, and the
+        // advice only concerns the page cache of that descriptor's file.
+        let err = unsafe { posix_fadvise(file.as_raw_fd(), 0, 0, POSIX_FADV_DONTNEED) };
+        if err != 0 {
+            return Err(std::io::Error::from_raw_os_error(err));
+        }
+    }
+    Ok(())
+}
+
+fn reopen(seed: u64, dir: &Path) -> Result<Reopen, String> {
+    evict(dir).map_err(|e| format!("evict {}: {e}", dir.display()))?;
     let exe = std::env::current_exe().map_err(|e| e.to_string())?;
     let out = Command::new(exe)
-        .args(["--lake-child", workload, &seed.to_string()])
+        .args(["--lake-child", &seed.to_string()])
         .arg(dir)
         .output()
         .map_err(|e| format!("spawn reopen process: {e}"))?;
@@ -557,7 +585,6 @@ pub struct LakeOutcome {
 /// cold reopen processes, and the in-memory differential.
 pub fn run(
     seed: u64,
-    workload: &str,
     plan: &LakePlan,
     lake: &LakeFiles,
     reference: Reference,
@@ -622,7 +649,7 @@ pub fn run(
 
     let mut opens = Vec::new();
     for _ in 0..plan.opens {
-        opens.push(reopen(seed, workload, &index_dir)?);
+        opens.push(reopen(seed, &index_dir)?);
     }
     for o in &opens {
         report.check(
@@ -642,6 +669,18 @@ pub fn run(
         report.check(o.matcher_calls > 0, "lake queries issued no matcher calls");
     }
     let of = |f: fn(&Reopen) -> f64| median(&opens.iter().map(f).collect::<Vec<_>>());
+    let list = |f: fn(&Reopen) -> f64, scale: f64| {
+        opens
+            .iter()
+            .map(|o| format!("{:.1}", f(o) * scale))
+            .collect::<Vec<_>>()
+            .join(" ")
+    };
+    eprintln!(
+        "lake reopens: open {} ms; first query {} ms",
+        list(|o| o.open_s, 1e3),
+        list(|o| o.first_ms, 1.0)
+    );
     report.put("lake.open_s", of(|o| o.open_s), "s");
     report.put("lake.first_query_ms", of(|o| o.first_ms), "ms");
     report.put("lake.rss_mb", of(|o| o.rss_mb), "MB");

@@ -22,7 +22,7 @@ use crate::lake::{self, LakeOutcome};
 use crate::out::Report;
 use crate::serve::{self, Kind};
 use crate::stats::summarize;
-use crate::{grid, Inputs, Profile};
+use crate::{grid, Inputs, LAKE};
 
 /// An end-to-end metric: what a user of the system sees.
 pub struct EndToEnd {
@@ -43,16 +43,14 @@ const fn e2e(name: &'static str, unit: &'static str, better: &'static str, bound
 }
 
 /// Every end-to-end metric, in report order.
-pub const END_TO_END: [EndToEnd; 12] = [
+pub const END_TO_END: [EndToEnd; 10] = [
     e2e("setup_s", "s", "lower", 0.25),
     e2e("grid.schema_s", "s", "lower", 0.25),
     e2e("grid.instance_s", "s", "lower", 0.25),
     e2e("grid.hybrid_s", "s", "lower", 0.25),
     e2e("grid.recall_at_gt", "ratio", "higher", 0.05),
-    e2e("lake.open_s", "s", "lower", 0.25),
     e2e("lake.first_query_ms", "ms", "lower", 0.25),
     e2e("lake.query_p50_ms", "ms", "lower", 0.25),
-    e2e("lake.query_p99_ms", "ms", "lower", 0.25),
     e2e("lake.rss_mb", "MB", "lower", 0.25),
     e2e("lake.precision_at_k", "ratio", "higher", 0.1),
     e2e("serve.max_qps", "1/s", "higher", 0.25),
@@ -205,6 +203,8 @@ pub const PER_LAYER: &[Layer] = &[
     layer("index.write_amp", "ratio", "lower", "lake.build_s"),
     layer("lake.build_s", "s", "lower", "none"),
     layer("lake.compact_s", "s", "lower", "none"),
+    layer("lake.open_s", "s", "lower", "none"),
+    layer("lake.query_p99_ms", "ms", "lower", "none"),
     layer(
         "index.compact_rewritten_mb",
         "MB",
@@ -381,15 +381,11 @@ fn self_times(records: &[&ExperimentRecord]) -> BTreeMap<String, f64> {
 }
 
 /// Grid layers from one traced pass of each family.
-fn grid_layers(
-    plan: &grid::GridPlan,
-    pairs: &[valentine_core::fabricator::DatasetPair],
-    report: &mut Report,
-) -> f64 {
+fn grid_layers(pairs: &[valentine_core::fabricator::DatasetPair], report: &mut Report) -> f64 {
     let mut wall = 0.0;
     let mut records = Vec::new();
-    for (f, (_, methods)) in grid::FAMILIES.iter().enumerate() {
-        let (secs, runner) = grid::run_family(&plan.pairs(f, pairs), methods);
+    for (_, methods) in grid::FAMILIES {
+        let (secs, runner) = grid::run_family(pairs, methods);
         wall += secs;
         records.extend(runner.records().iter().cloned());
     }
@@ -429,7 +425,6 @@ fn grid_layers(
 /// profile, write, load, map and verify, and per-stage query timings.
 fn lake_layers(
     seed: u64,
-    p: &Profile,
     inputs: &Inputs,
     lake_out: &LakeOutcome,
     work: &Path,
@@ -437,7 +432,7 @@ fn lake_layers(
 ) -> Result<f64, String> {
     let dir = work.join("traced-index");
     let _ = std::fs::remove_dir_all(&dir);
-    let cycle = lake::cycle(&inputs.lake, &p.lake, &dir)?;
+    let cycle = lake::cycle(&inputs.lake, &LAKE, &dir)?;
     put(
         report,
         "index.write_amp",
@@ -477,7 +472,7 @@ fn lake_layers(
     put(report, "index.verify_s", start.elapsed().as_secs_f64());
     report.check(verdict.ok(), "index verify found corrupt files");
 
-    let queries = lake::queries(seed, &p.lake);
+    let queries = lake::queries(seed, &LAKE);
     let opts = lake::search_options();
     let (mut lsh, mut rerank, mut joinable) = (Vec::new(), Vec::new(), Vec::new());
     let (mut candidates, mut useful) = (0usize, 0usize);
@@ -529,11 +524,11 @@ fn lake_layers(
 fn serve_layers(
     seed: u64,
     seconds: f64,
-    p: &Profile,
+    mix: &serve::Mix,
     lake_out: &LakeOutcome,
     report: &mut Report,
 ) -> Result<(), String> {
-    let session = serve::traced(seed, &p.serve, &p.lake, lake_out, seconds, report)?;
+    let session = serve::traced(seed, mix, &LAKE, lake_out, seconds, report)?;
     let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
     let lat = |pred: &dyn Fn(&serve::Sent) -> bool| -> Vec<f64> {
         session
@@ -623,7 +618,7 @@ fn serve_layers(
 /// passes plus lake cycle, for `trace.overhead_share`.
 pub fn traced(
     args: &crate::Args,
-    p: &Profile,
+    mix: &serve::Mix,
     inputs: &Inputs,
     lake_out: &LakeOutcome,
     untraced_s: f64,
@@ -631,9 +626,9 @@ pub fn traced(
     report: &mut Report,
 ) -> Result<(), String> {
     valentine_core::obs::set_enabled(true);
-    let grid_s = grid_layers(&p.grid, &inputs.pairs, report);
-    let lake_s = lake_layers(args.seed, p, inputs, lake_out, work, report)?;
-    serve_layers(args.seed, args.seconds, p, lake_out, report)?;
+    let grid_s = grid_layers(&inputs.pairs, report);
+    let lake_s = lake_layers(args.seed, inputs, lake_out, work, report)?;
+    serve_layers(args.seed, args.seconds, mix, lake_out, report)?;
     valentine_core::obs::set_enabled(false);
     put(
         report,

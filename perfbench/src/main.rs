@@ -1,13 +1,15 @@
 //! The repository benchmark. See `README.md` beside this crate.
 //!
 //! ```text
-//! perfbench --workload <grid|serve> --seed <n> --seconds <s> --trace <0|1>
+//! perfbench --workload <hot|cold> --seed <n> --seconds <s> --trace <0|1>
 //! ```
 //!
 //! Every workload runs all three phases — the paper grid, the data-lake
 //! index lifecycle, and the open-loop serve ladder — so every run reports
-//! every end-to-end metric; the workload decides how large the grid and
-//! serve phases are. The last stdout line is the JSON result.
+//! every end-to-end metric; the workload decides the serve traffic: mostly
+//! repeated queries the cache answers (`hot`) or mostly new queries that
+//! each run the index search (`cold`). The last stdout line is the JSON
+//! result.
 
 mod grid;
 mod lake;
@@ -26,47 +28,25 @@ pub fn nproc() -> usize {
     std::thread::available_parallelism().map_or(2, |n| n.get())
 }
 
-/// Phase sizes of one workload.
-#[derive(Debug, Clone, Copy)]
-struct Profile {
-    grid: grid::GridPlan,
-    lake: lake::LakePlan,
-    serve: serve::ServePlan,
-}
-
-/// The grid of the workloads that do not own it.
-const GRID_COMPANION: grid::GridPlan = grid::GridPlan {
-    hybrid_all: false,
-    passes: [5, 3, 3],
-};
 /// The lake of every workload.
-const LAKE: lake::LakePlan = lake::LakePlan {
+pub const LAKE: lake::LakePlan = lake::LakePlan {
     families_per_source: 3,
     members: 4,
     decoys_per_source: 2,
     unrelated: 400,
     batches: 3,
-    builds: 5,
-    opens: 7,
+    builds: 3,
+    opens: 9,
 };
 
-fn profile(workload: &str) -> Option<Profile> {
-    Some(match workload {
-        "grid" => Profile {
-            grid: grid::GridPlan {
-                hybrid_all: true,
-                passes: [5, 3, 1],
-            },
-            lake: LAKE,
-            serve: serve::COMPANION,
-        },
-        "serve" => Profile {
-            grid: GRID_COMPANION,
-            lake: LAKE,
-            serve: serve::FULL,
-        },
-        _ => return None,
-    })
+/// The serve traffic of a workload. The workloads differ only here: the
+/// grid and the lake are the same in both.
+fn mix(workload: &str) -> Option<serve::Mix> {
+    match workload {
+        "hot" => Some(serve::HOT),
+        "cold" => Some(serve::COLD),
+        _ => None,
+    }
 }
 
 /// Parsed command line.
@@ -151,7 +131,6 @@ struct Inputs {
 /// times; `setup_s` is the median.
 fn setup(
     args: &Args,
-    p: &Profile,
     work: &Path,
     report: &mut Report,
 ) -> Result<(Inputs, lake::Reference), String> {
@@ -162,7 +141,7 @@ fn setup(
         let _ = std::fs::remove_dir_all(&dir);
         let start = Instant::now();
         let pairs = grid::corpus(args.seed).pairs;
-        let lake = lake::write_lake(args.seed, &p.lake, &dir).map_err(|e| e.to_string())?;
+        let lake = lake::write_lake(args.seed, &LAKE, &dir).map_err(|e| e.to_string())?;
         let reference = lake::reference(&lake)?;
         walls.push(start.elapsed().as_secs_f64());
         last = Some((Inputs { pairs, lake }, reference));
@@ -172,20 +151,19 @@ fn setup(
 }
 
 fn run(args: &Args) -> Result<Report, String> {
-    let p = profile(&args.workload)
-        .ok_or_else(|| format!("unknown workload {:?} (grid or serve)", args.workload))?;
+    let mix = mix(&args.workload)
+        .ok_or_else(|| format!("unknown workload {:?} (hot or cold)", args.workload))?;
     let work = WorkDir::new(&args.workload).map_err(|e| format!("work dir: {e}"))?;
     let mut report = Report::default();
-    let (inputs, reference) = setup(args, &p, &work.0, &mut report)?;
+    let (inputs, reference) = setup(args, &work.0, &mut report)?;
 
     let start = Instant::now();
-    let grid_wall = grid::run(args.seed, &inputs.pairs, &p.grid, &mut report);
+    let grid_wall = grid::run(args.seed, &inputs.pairs, &mut report);
     eprintln!("grid phase {:.2}s", start.elapsed().as_secs_f64());
     let start = Instant::now();
     let lake_out = lake::run(
         args.seed,
-        &args.workload,
-        &p.lake,
+        &LAKE,
         &inputs.lake,
         reference,
         &work.0,
@@ -193,21 +171,14 @@ fn run(args: &Args) -> Result<Report, String> {
     )?;
     eprintln!("lake phase {:.2}s", start.elapsed().as_secs_f64());
     let start = Instant::now();
-    serve::run(
-        args.seed,
-        &p.serve,
-        &p.lake,
-        &lake_out,
-        args.seconds,
-        &mut report,
-    )?;
+    serve::run(args.seed, &mix, &LAKE, &lake_out, args.seconds, &mut report)?;
     eprintln!("serve phase {:.2}s", start.elapsed().as_secs_f64());
 
     if args.trace {
         let untraced_s = grid_wall + lake_out.cycle_s;
         layers::traced(
             args,
-            &p,
+            &mix,
             &inputs,
             &lake_out,
             untraced_s,
@@ -228,18 +199,11 @@ fn main() {
             return;
         }
         Some("--lake-child") => {
-            let (Some(workload), Some(seed), Some(dir)) = (args.get(1), args.get(2), args.get(3))
-            else {
-                eprintln!("usage: --lake-child <workload> <seed> <index dir>");
+            let (Some(Ok(seed)), Some(dir)) = (args.get(1).map(|s| s.parse()), args.get(2)) else {
+                eprintln!("usage: --lake-child <seed> <index dir>");
                 std::process::exit(2);
             };
-            let plan = profile(workload).map(|p| p.lake);
-            let seed = seed.parse().ok();
-            let (Some(plan), Some(seed)) = (plan, seed) else {
-                eprintln!("bad --lake-child arguments");
-                std::process::exit(2);
-            };
-            if let Err(e) = lake::child(seed, &plan, Path::new(dir)) {
+            if let Err(e) = lake::child(seed, &LAKE, Path::new(dir)) {
                 eprintln!("{e}");
                 std::process::exit(1);
             }
@@ -252,7 +216,7 @@ fn main() {
         Err(e) => {
             eprintln!("perfbench: {e}");
             eprintln!(
-                "usage: perfbench --workload <grid|serve> --seed <n> --seconds <s> --trace <0|1>"
+                "usage: perfbench --workload <hot|cold> --seed <n> --seconds <s> --trace <0|1>"
             );
             std::process::exit(2);
         }

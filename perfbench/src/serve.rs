@@ -19,22 +19,50 @@ use valentine_serve::{ServeConfig, ServerHandle};
 
 use crate::lake::{self, LakeOutcome, LakePlan};
 use crate::out::Report;
-use crate::stats::{self, max_qps, median, run_schedule, summarize, Rung, Sample};
+use crate::stats::{self, max_qps, median, next_rate, run_schedule, summarize, Rung, Sample};
 
-/// How long the schedules of one run are, as shares of `--seconds`.
+/// The serve traffic of a workload.
+///
+/// No trace of real discovery traffic exists to take the shares from, so
+/// they are assumptions, chosen once and not tuned: the two workloads
+/// bracket the unknown real mix with a repeat-heavy and a new-query-heavy
+/// end, swapping the hot and cold shares and keeping the rest.
 #[derive(Debug, Clone, Copy)]
-pub struct ServePlan {
-    /// Length of each ladder rung.
-    pub rung_share: f64,
-    /// Length of the reference-rate schedule.
-    pub reference_share: f64,
+pub struct Mix {
+    /// Percent of requests: hot unionable, cold unionable, joinable (on a
+    /// few popular tables), upload.
+    pub shares: [u64; 4],
+    /// The rate `serve.p50_ms` and `serve.p99_ms` are measured at, and
+    /// where the ladder search starts.
+    pub reference_rate: f64,
 }
 
-/// Offered rates of the ladder, ascending, requests per second.
-const LADDER: [f64; 6] = [375.0, 750.0, 1500.0, 3000.0, 6000.0, 12000.0];
+/// Mostly repeated queries, which the LRU cache answers (`hot` workload):
+/// an analyst going back to the same few tables.
+pub const HOT: Mix = Mix {
+    shares: [80, 5, 10, 5],
+    reference_rate: 1000.0,
+};
 
-/// The rate `serve.p50_ms` and `serve.p99_ms` are measured at.
-const REFERENCE_RATE: f64 = 1000.0;
+/// Mostly queries the server has not seen, each of which runs the index
+/// search (`cold` workload): a sweep across the lake.
+pub const COLD: Mix = Mix {
+    shares: [5, 80, 10, 5],
+    reference_rate: 200.0,
+};
+
+/// Length of each ladder rung, as a share of `--seconds`.
+const RUNG_SHARE: f64 = 0.12;
+
+/// Length of the reference-rate schedule, as a share of `--seconds`.
+const REFERENCE_SHARE: f64 = 0.3;
+
+/// The ladder search stops once the highest passing and lowest failing
+/// rates are within this share of each other.
+const RESOLUTION: f64 = 0.1;
+
+/// The ladder search never offers more than this, requests per second.
+const CEILING: f64 = 64_000.0;
 
 /// Requests per reference window: enough for a p99 with ten beyond it.
 const REFERENCE_WINDOW: usize = 1000;
@@ -42,8 +70,12 @@ const REFERENCE_WINDOW: usize = 1000;
 /// Latency SLO on a rung's tail and final lag, ms.
 const SLO_MS: f64 = 100.0;
 
+/// Final lag, ms, past which a failed rung is plainly overloaded and is
+/// not run again.
+const OVERLOAD_LAG_MS: f64 = 5.0 * SLO_MS;
+
 /// Popular unionable tables (Zipf-distributed requests).
-const HOT: usize = 24;
+const HOT_TABLES: usize = 24;
 
 /// Tables asked for joinable columns (also popular).
 const JOINABLE: usize = 8;
@@ -55,29 +87,19 @@ const UPLOADS: usize = 8;
 /// cold tail.
 const CACHE_CAPACITY: usize = 64;
 
-/// Request mix, percent: hot unionable, cold unionable, joinable, upload.
-pub const MIX: [u64; 4] = [83, 5, 9, 3];
-
 /// How long before a due time the generator stops sleeping and spins.
 const SPIN: Duration = Duration::from_micros(200);
 
-/// Zipf exponent of the hot set.
-const ZIPF_S: f64 = 1.1;
+/// Zipf exponent of the hot set. Breslau et al., "Web Caching and
+/// Zipf-like Distributions: Evidence and Implications" (INFOCOM 1999),
+/// found request popularity Zipf-like with exponents below one (0.64 to
+/// 0.83 over their proxy traces); 0.8 lies in that range. The hot set
+/// fits in the cache, so the exponent decides which hot keys repeat, not
+/// whether they hit.
+const ZIPF_S: f64 = 0.8;
 
 /// Top-k every request asks for.
 const K: usize = lake::K;
-
-/// The full schedule (the `serve` workload).
-pub const FULL: ServePlan = ServePlan {
-    rung_share: 0.1,
-    reference_share: 0.4,
-};
-
-/// The companion schedule (the other workloads).
-pub const COMPANION: ServePlan = ServePlan {
-    rung_share: 0.06,
-    reference_share: 0.3,
-};
 
 /// One kind of request of the mix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -227,7 +249,11 @@ impl Population {
         };
         let order_len = order.len();
         let mut it = order.into_iter();
-        let hot: Vec<Request> = it.by_ref().take(HOT).map(|t| take(Kind::Hot, t)).collect();
+        let hot: Vec<Request> = it
+            .by_ref()
+            .take(HOT_TABLES)
+            .map(|t| take(Kind::Hot, t))
+            .collect();
         let joinable: Vec<Request> = it
             .by_ref()
             .take(JOINABLE)
@@ -292,24 +318,30 @@ impl Population {
 
 /// Draws the requests of one schedule. `cold_next` counts the cold
 /// requests drawn so far and picks the next cold table.
-fn draw(pop: &Population, n: usize, rng: &mut u64, cold_next: &mut usize) -> Vec<Request> {
+fn draw(
+    pop: &Population,
+    shares: [u64; 4],
+    n: usize,
+    rng: &mut u64,
+    cold_next: &mut usize,
+) -> Vec<Request> {
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
         *rng = lake::mix(*rng);
         let roll = *rng % 100;
         *rng = lake::mix(*rng);
         let unit = (*rng >> 11) as f64 / (1u64 << 53) as f64;
-        let req = if roll < MIX[0] {
+        let req = if roll < shares[0] {
             let total = pop.zipf.last().copied().unwrap_or(1.0);
             let i = pop.zipf.partition_point(|&c| c < unit * total);
             pop.hot[i.min(pop.hot.len() - 1)].clone()
-        } else if roll < MIX[0] + MIX[1] {
+        } else if roll < shares[0] + shares[1] {
             // the pool is cycled; it is far larger than the cache, so a
             // table is long evicted before it comes round again
             let req = pop.cold[*cold_next % pop.cold.len()].clone();
             *cold_next += 1;
             req
-        } else if roll < MIX[0] + MIX[1] + MIX[2] {
+        } else if roll < shares[0] + shares[1] + shares[2] {
             pop.joinable[(*rng % pop.joinable.len() as u64) as usize].clone()
         } else {
             pop.uploads[(*rng % pop.uploads.len() as u64) as usize].clone()
@@ -498,10 +530,10 @@ impl Write for SharedBuf {
 }
 
 /// Starts a server, warms its cache, runs the reference rate and (when
-/// untraced) the rate ladder, checks every body, and stops it.
+/// untraced) the ladder search, checks every body, and stops it.
 fn session(
     seed: u64,
-    plan: &ServePlan,
+    mix: &Mix,
     index: &LoadedIndex,
     pop: &Population,
     traced: bool,
@@ -532,23 +564,34 @@ fn session(
 
     let reference = draw(
         pop,
-        (REFERENCE_RATE * plan.reference_share * seconds) as usize,
+        mix.shares,
+        (mix.reference_rate * REFERENCE_SHARE * seconds) as usize,
         &mut rng,
         &mut cold_next,
     );
-    let ref_sent = drive(addr, &reference, REFERENCE_RATE, &bodies);
+    let ref_sent = drive(addr, &reference, mix.reference_rate, &bodies);
     let mut all: Vec<Sent> = warmed.iter().chain(&ref_sent).cloned().collect();
 
-    let mut rungs = Vec::new();
+    // (rung, achieved rate) of every rate the ladder search offered
+    let mut rungs: Vec<(Rung, f64)> = Vec::new();
+    let tried = |rungs: &[(Rung, f64)]| rungs.iter().map(|(r, _)| *r).collect::<Vec<_>>();
     if !traced {
-        for rate in LADDER {
-            // a rung that fails is run once more: one stall of the machine
-            // must not end the ladder, a real overload fails twice
+        while let Some(rate) = next_rate(
+            mix.reference_rate,
+            &tried(&rungs),
+            SLO_MS,
+            RESOLUTION,
+            CEILING,
+        ) {
+            // a rung that fails is run once more, so that one stall of the
+            // machine does not decide a rate; a rung that ends with its backlog
+            // still growing past five SLOs is overloaded and is not run again
             let (mut rung, mut sent) = (None, Vec::new());
             for _ in 0..2 {
                 let reqs = draw(
                     pop,
-                    (rate * plan.rung_share * seconds) as usize,
+                    mix.shares,
+                    (rate * RUNG_SHARE * seconds) as usize,
                     &mut rng,
                     &mut cold_next,
                 );
@@ -556,13 +599,13 @@ fn session(
                 let r = rung_of(rate, &sent);
                 all.extend(sent.iter().cloned());
                 rung = Some(r);
-                if r.passes(SLO_MS) {
+                if r.passes(SLO_MS) || r.final_lag_ms > OVERLOAD_LAG_MS {
                     break;
                 }
             }
             let rung = rung.expect("the rung ran");
             eprintln!(
-                "serve rung {rate}/s: {} sent, {} failed, tail {:.2} ms, final lag {:.2} ms",
+                "serve rung {rate:.1}/s: {} sent, {} failed, tail {:.2} ms, final lag {:.2} ms",
                 rung.attempted, rung.failed, rung.tail_ms, rung.final_lag_ms
             );
             // achieved rate: requests finished per second of schedule
@@ -572,9 +615,6 @@ fn session(
                 .fold(0.0, f64::max);
             let achieved = (sent.len().saturating_sub(1)) as f64 / done.max(1e-9);
             rungs.push((rung, achieved));
-            if !rung.passes(SLO_MS) {
-                break;
-            }
         }
     }
     let snapshot = server.shutdown();
@@ -604,8 +644,9 @@ fn session(
     // the reference schedule in windows, each large enough for its own
     // p99; the windows' medians are reported, so one stall of the machine
     // moves one window instead of the result
+    let window = REFERENCE_WINDOW.min(ref_sent.len()).max(1);
     let windows: Vec<stats::Summary> = ref_sent
-        .chunks_exact(REFERENCE_WINDOW)
+        .chunks_exact(window)
         .filter_map(|w| {
             let lat: Vec<f64> = w.iter().map(|s| ms(s.sample.latency)).collect();
             summarize(&lat, 0.99)
@@ -617,19 +658,24 @@ fn session(
         report.put("serve.p50_ms", median(&p50), "ms");
         report.put("serve.p99_ms", median(&tail), "ms");
         eprintln!(
-            "serve: reference {REFERENCE_RATE}/s, {} windows of {REFERENCE_WINDOW} requests, tail at p{}",
+            "serve: reference {}/s, {} windows of {window} requests, tail at p{}",
+            mix.reference_rate,
             windows.len(),
             windows[0].tail_q * 100.0
         );
     }
     if !traced {
-        // the achieved rate of the highest passing rung; a ladder whose
-        // lowest rung fails reports its lowest rate halved: capacity lies
-        // below the ladder, and the metric stays nonzero
-        let ladder: Vec<Rung> = rungs.iter().map(|(r, _)| *r).collect();
-        let qps = max_qps(&ladder, SLO_MS)
+        // the achieved rate of the highest passing rung below the lowest
+        // failing one; a search that found no passing rate reports half
+        // its lowest offer: capacity lies below it, and the metric stays
+        // nonzero
+        let lowest = rungs
+            .iter()
+            .map(|(r, _)| r.rate)
+            .fold(f64::INFINITY, f64::min);
+        let qps = max_qps(&tried(&rungs), SLO_MS)
             .and_then(|rate| rungs.iter().find(|(r, _)| r.rate == rate))
-            .map_or(LADDER[0] / 2.0, |(_, achieved)| *achieved);
+            .map_or(lowest / 2.0, |(_, achieved)| *achieved);
         report.put("serve.max_qps", qps, "1/s");
     }
     let log = std::mem::take(&mut *buf.0.lock().expect("log lock"));
@@ -674,10 +720,10 @@ fn matches_in_process(index: &LoadedIndex, pop: &Population, key: &str, body: &[
         })
 }
 
-/// The untraced serve phase: reference rate plus ladder.
+/// The untraced serve phase: reference rate plus ladder search.
 pub fn run(
     seed: u64,
-    plan: &ServePlan,
+    mix: &Mix,
     lake_plan: &LakePlan,
     lake_out: &LakeOutcome,
     seconds: f64,
@@ -685,14 +731,14 @@ pub fn run(
 ) -> Result<(), String> {
     let index = LoadedIndex::load(&lake_out.index_dir).map_err(|e| e.to_string())?;
     let pop = Population::new(seed, lake_plan, &lake_out.survivors, &index);
-    session(seed, plan, &index, &pop, false, seconds, report)?;
+    session(seed, mix, &index, &pop, false, seconds, report)?;
     Ok(())
 }
 
 /// The traced serve pass: the reference rate with the request log on.
 pub fn traced(
     seed: u64,
-    plan: &ServePlan,
+    mix: &Mix,
     lake_plan: &LakePlan,
     lake_out: &LakeOutcome,
     seconds: f64,
@@ -700,5 +746,5 @@ pub fn traced(
 ) -> Result<Session, String> {
     let index = LoadedIndex::load(&lake_out.index_dir).map_err(|e| e.to_string())?;
     let pop = Population::new(seed, lake_plan, &lake_out.survivors, &index);
-    session(seed, plan, &index, &pop, true, seconds, report)
+    session(seed, mix, &index, &pop, true, seconds, report)
 }

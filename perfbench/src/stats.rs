@@ -1,6 +1,6 @@
 //! The benchmark's own statistics: percentiles under the ten-beyond rule,
-//! the open-loop schedule with due-time latency, `max_qps` ladder
-//! selection, and metric-name validation. Everything here is pure so the
+//! the open-loop schedule with due-time latency, the `max_qps` ladder
+//! search, and metric-name validation. Everything here is pure so the
 //! tests at the bottom pin the rules without timing anything real.
 
 use std::time::Duration;
@@ -155,14 +155,50 @@ impl Rung {
     }
 }
 
-/// The highest rate of an ascending ladder whose rung and every rung below
-/// it pass; `None` when the lowest rung already fails.
+/// The rate the ladder search offers next, or `None` when it is done.
+///
+/// The search starts at `start` and doubles while rates pass. After the
+/// first failure it bisects (geometrically) between the highest passing
+/// rate below the lowest failing one and that failing rate, until their
+/// ratio is at most `1 + resolution`. A failing `start` is halved until a
+/// rate passes or the rate drops below `start / 8`; the search also stops
+/// before doubling past `ceiling`.
+pub fn next_rate(
+    start: f64,
+    tried: &[Rung],
+    slo_ms: f64,
+    resolution: f64,
+    ceiling: f64,
+) -> Option<f64> {
+    if tried.is_empty() {
+        return Some(start);
+    }
+    let fail = tried
+        .iter()
+        .filter(|r| !r.passes(slo_ms))
+        .map(|r| r.rate)
+        .reduce(f64::min);
+    match (max_qps(tried, slo_ms), fail) {
+        (Some(pass), None) => (pass * 2.0 <= ceiling).then_some(pass * 2.0),
+        (None, Some(fail)) => (fail / 2.0 >= start / 8.0).then_some(fail / 2.0),
+        (Some(pass), Some(fail)) => (fail / pass > 1.0 + resolution).then(|| (pass * fail).sqrt()),
+        (None, None) => None,
+    }
+}
+
+/// The highest passing rate below the lowest failing one, in whatever
+/// order the rungs ran; `None` when no rate below every failure passed.
 pub fn max_qps(ladder: &[Rung], slo_ms: f64) -> Option<f64> {
+    let fail = ladder
+        .iter()
+        .filter(|r| !r.passes(slo_ms))
+        .map(|r| r.rate)
+        .fold(f64::INFINITY, f64::min);
     ladder
         .iter()
-        .take_while(|r| r.passes(slo_ms))
-        .last()
+        .filter(|r| r.passes(slo_ms) && r.rate < fail)
         .map(|r| r.rate)
+        .reduce(f64::max)
 }
 
 /// True for a valid metric name: starts with a letter or digit, at most 64
@@ -287,7 +323,7 @@ mod tests {
     }
 
     #[test]
-    fn max_qps_is_the_last_rung_of_the_passing_prefix() {
+    fn max_qps_is_the_highest_pass_below_the_lowest_failure() {
         let slo = 100.0;
         let ladder = [
             rung(10.0, 0, 5.0, 0.0),
@@ -296,7 +332,7 @@ mod tests {
             rung(80.0, 0, 400.0, 900.0),
         ];
         assert_eq!(max_qps(&ladder, slo), Some(40.0));
-        // a higher rung that happens to pass after a failing one does not
+        // a higher rung that happens to pass above a failing one does not
         // count: capacity is where the ladder first breaks
         let ladder = [
             rung(10.0, 0, 5.0, 0.0),
@@ -304,6 +340,15 @@ mod tests {
             rung(40.0, 0, 50.0, 0.0),
         ];
         assert_eq!(max_qps(&ladder, slo), Some(10.0));
+        // bisection rungs run after the failure they narrow down
+        let ladder = [
+            rung(10.0, 0, 5.0, 0.0),
+            rung(20.0, 0, 150.0, 0.0),
+            rung(14.0, 0, 40.0, 0.0),
+            rung(17.0, 0, 120.0, 0.0),
+            rung(15.5, 0, 60.0, 0.0),
+        ];
+        assert_eq!(max_qps(&ladder, slo), Some(15.5));
     }
 
     #[test]
@@ -315,6 +360,51 @@ mod tests {
         // a growing backlog disqualifies too, even with a fine tail
         assert_eq!(max_qps(&[rung(10.0, 0, 1.0, 250.0)], slo), None);
         assert_eq!(max_qps(&[], slo), None);
+    }
+
+    /// Runs the ladder search against a server whose capacity is `cap`:
+    /// a rate passes when it is at most `cap`.
+    fn search(start: f64, cap: f64) -> (Vec<f64>, Option<f64>) {
+        let mut tried = Vec::new();
+        while let Some(rate) = next_rate(start, &tried, 100.0, 0.1, 1e6) {
+            let tail = if rate <= cap { 10.0 } else { 500.0 };
+            tried.push(rung(rate, 0, tail, 0.0));
+        }
+        let rates = tried.iter().map(|r| r.rate).collect();
+        (rates, max_qps(&tried, 100.0))
+    }
+
+    #[test]
+    fn the_ladder_doubles_then_bisects_to_its_resolution() {
+        let (rates, best) = search(100.0, 500.0);
+        // 100, 200, 400 pass, 800 fails; then 566 (fails), 476, 519 (fails)
+        assert_eq!(&rates[..4], &[100.0, 200.0, 400.0, 800.0]);
+        assert_eq!(rates.len(), 7);
+        let best = best.unwrap();
+        assert!(best <= 500.0 && best > 500.0 / 1.1, "{best}");
+
+        // every capacity inside a doubling step is found to within 10%,
+        // so a change smaller than a step still moves the result
+        for cap in [130.0, 150.0, 170.0, 190.0, 3000.0, 4100.0] {
+            let best = search(100.0, cap).1.unwrap();
+            assert!(best <= cap && best > cap / 1.1, "cap {cap}: {best}");
+        }
+    }
+
+    #[test]
+    fn a_failing_start_is_halved_and_the_ceiling_stops_the_climb() {
+        let (rates, best) = search(100.0, 30.0);
+        assert_eq!(&rates[..3], &[100.0, 50.0, 25.0]);
+        let best = best.unwrap();
+        assert!(best <= 30.0 && best > 30.0 / 1.1, "{best}");
+        // below start / 8 the search gives up
+        assert_eq!(search(100.0, 5.0).1, None);
+        // nothing fails below the ceiling: the search stops there
+        let mut tried = Vec::new();
+        while let Some(rate) = next_rate(100.0, &tried, 100.0, 0.1, 1000.0) {
+            tried.push(rung(rate, 0, 1.0, 0.0));
+        }
+        assert_eq!(max_qps(&tried, 100.0), Some(800.0));
     }
 
     #[test]
